@@ -48,6 +48,7 @@ error), not validating the A800 constants on a laptop.
 from __future__ import annotations
 
 import json
+import statistics
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -456,12 +457,72 @@ def per_turn_chunks(doc: Dict) -> Optional[Dict]:
 # -- cost-model reconciliation -------------------------------------------------
 
 
-def _mean_span_us(events: List[Dict], name: str) -> Optional[float]:
-    durs = [
-        ev.get("dur", 0.0) for ev in events
-        if ev.get("ph") == "X" and ev["name"] == name
-    ]
-    return (sum(durs) / len(durs)) if durs else None
+def _compute_shares(events: List[Dict]) -> Dict[int, float]:
+    """Each compute span's share of the wall clock, keyed by event index.
+
+    An instant covered by ``k`` open compute spans (any rank) charges
+    ``1/k`` of itself to each.  On the thread backend a rank's span also
+    covers the time it waits for the interpreter lock or a core while
+    other ranks compute, so raw durations overstate its cost by the
+    contention of the moment; the shares instead sum to the union of
+    compute time, which is what the serialised cost model predicts.
+    """
+    edges: List[Tuple[float, int, int]] = []
+    for i, ev in enumerate(events):
+        if ev.get("ph") == "X" and ev.get("cat") == "compute":
+            ts = ev["ts"]
+            edges.append((ts, 1, i))
+            edges.append((ts + ev.get("dur", 0.0), 0, i))
+    edges.sort()  # closes (0) before opens (1) at equal times
+    shares: Dict[int, float] = defaultdict(float)
+    open_spans: set = set()
+    last = 0.0
+    for t, opening, i in edges:
+        if open_spans:
+            part = (t - last) / len(open_spans)
+            for j in open_spans:
+                shares[j] += part
+        last = t
+        if opening:
+            open_spans.add(i)
+        else:
+            open_spans.discard(i)
+    return shares
+
+
+def _steady_costs_us(events: List[Dict]) -> Dict[str, float]:
+    """Per-span cost of F, B and W in steady state (µs), from
+    :func:`_compute_shares`.
+
+    A span is steady-state when it starts at or after its rank's second
+    ``iteration`` span: iteration 0 pays first-touch allocations and
+    cache warm-up.  Traces of a single iteration fall back to every
+    span.  The cost is the mean share: shares add up to the compute
+    time, so their mean stays put when contention reshuffles which
+    span waits, where a median of the skewed shares would not.
+    """
+    starts: Dict[object, List[float]] = defaultdict(list)
+    for ev in events:
+        if ev.get("ph") == "X" and ev["name"] == "iteration":
+            starts[ev.get("pid")].append(ev["ts"])
+    second_iter = {
+        pid: sorted(ts)[1] for pid, ts in starts.items() if len(ts) > 1
+    }
+    shares = _compute_shares(events)
+    every: Dict[str, List[float]] = defaultdict(list)
+    steady: Dict[str, List[float]] = defaultdict(list)
+    for i, share in shares.items():
+        ev = events[i]
+        name = ev["name"]
+        if name not in ("F", "B", "W"):
+            continue
+        every[name].append(share)
+        t1 = second_iter.get(ev.get("pid"))
+        if t1 is not None and ev["ts"] >= t1:
+            steady[name].append(share)
+    return {
+        name: statistics.fmean(steady[name] or every[name]) for name in every
+    }
 
 
 def reconcile(
@@ -475,7 +536,8 @@ def reconcile(
     Requires trace ``metadata`` carrying ``dims`` (the workload) plus
     ``world``/``recompute``/``mode`` — the CLI's ``trace`` command and
     the ``--trace`` flags record them.  The model is *calibrated* on the
-    trace's own mean forward-span time (``CostModel.calibrated``), then
+    trace's own steady-state forward-span cost (``CostModel.calibrated``,
+    see :func:`_steady_costs_us`), then
     asked to predict (a) the backward/forward time ratio and (b) the
     iteration wall clock on a zero-latency wire — which for this
     GIL-serialised runtime is the total compute across all ranks.
@@ -503,12 +565,12 @@ def reconcile(
     if analysis is None:
         analysis = analyze_trace(doc)
 
-    events = doc["traceEvents"]
-    f_us = _mean_span_us(events, "F")
+    costs = _steady_costs_us(doc["traceEvents"])
+    f_us = costs.get("F")
     if f_us is None:
         raise ValueError("trace has no forward ('F') spans to calibrate on")
-    b_us = _mean_span_us(events, "B")
-    w_us = _mean_span_us(events, "W")
+    b_us = costs.get("B")
+    w_us = costs.get("W")
 
     # a WeiPipe F span covers one slot = L/P layers; classic PP's F span
     # covers a stage of the same L/P layers.

@@ -218,13 +218,15 @@ def build_postmortem(
     failed: Optional[Dict] = None,
     aborted: Optional[str] = None,
     clock: Optional[Dict] = None,
+    blas: Optional[Dict] = None,
 ) -> Dict:
     """Assemble the ``repro.postmortem/v1`` bundle document.
 
     ``flights`` maps rank (as a string key, JSON-style) to a
     :meth:`FlightRecorder.snapshot`; ``reason`` carries at least
     ``{"kind": ..., "detail": ...}``; ``clock`` is the per-rank
-    alignment dict when the launch ran the clock handshake.
+    alignment dict when the launch ran the clock handshake; ``blas`` is
+    the launch's BLAS fingerprint (:func:`repro.runtime.blas.fingerprint`).
     """
     return {
         "schema": POSTMORTEM_SCHEMA,
@@ -235,6 +237,7 @@ def build_postmortem(
         "aborted": aborted,
         "failed": {str(k): list(v) for k, v in (failed or {}).items()},
         "clock": clock or {},
+        "blas": blas or {},
         "ranks": flights,
     }
 
@@ -306,6 +309,14 @@ def render_postmortem(bundle: Dict, last: int = 20) -> str:
             f"  clock rank {r}: offset {info.get('offset_s', 0.0) * 1e6:+.1f}us "
             f"+-{info.get('skew_bound_s', 0.0) * 1e6:.1f}us "
             f"({info.get('method', '?')})"
+        )
+    blas = bundle.get("blas")
+    if blas:
+        lines.append(
+            f"  blas: {blas.get('vendor')} "
+            f"{'managed' if blas.get('managed') else 'unmanaged'}, "
+            f"{blas.get('threads_per_rank')} thread(s)/rank x "
+            f"{blas.get('ranks')} ranks on {blas.get('usable_cores')} cores"
         )
 
     ranks = bundle.get("ranks", {})

@@ -165,6 +165,9 @@ class Fabric:
                 "ring_rejoins",
             )
         }
+        #: per-rank BLAS thread count the launch ran under (0 = unmanaged
+        #: BLAS or not launched yet); see repro.runtime.blas.
+        self.metrics.gauge("blas_threads")
         #: always-on black-box flight recorder: one bounded ring per
         #: rank holding the most recent fabric/control/integrity events
         #: (repro.obs.flight).  Fixed memory, allocation-free writes;

@@ -71,6 +71,7 @@ from ...obs.merge import (
 )
 from ...obs.metrics import MetricsRegistry
 from ...obs.tracer import Tracer
+from .. import blas as _blas
 from ..communicator import Fabric, FabricAborted, PeerFailed, RecvTimeout
 from ..integrity import CorruptFrameError, payload_crc32
 from ..message import Message, TrafficStats
@@ -88,8 +89,12 @@ from .shm import (
 
 __all__ = ["ProcessTransport", "ShmFabric", "validate_process_policy"]
 
-#: default per-directed-link ring capacity; sized to hold several of the
-#: reference config's weight slots so the steady-state ring never stalls.
+#: default per-directed-link ring capacity.  It bounds the bytes in flight
+#: on one link, not the size of a message: a larger frame streams through
+#: in pieces while its sender waits for the receiver to drain.  Arena
+#: payloads cross as descriptors of a few dozen bytes, so only copied
+#: payloads (activations, arena fall-backs) fill it; one fp32 layer slot
+#: at H=256 (~3 MiB) does not fit and streams through in pieces.
 DEFAULT_LINK_BYTES = 1 << 20
 #: default per-rank shared arena region backing the worker's BufferPool;
 #: the pool free-list recycles, so this bounds *peak live* buffers, not
@@ -298,16 +303,29 @@ class ShmFabric(Fabric):
         self._m_delays = self.metrics.counter(
             "chaos_injections_total", fault="delay"
         ) if policy is not None else None
+        # silent fall-backs made visible: payload bytes that streamed by
+        # copy, and arena allocations that landed in private memory.
+        self._m_copied = self.metrics.counter("shm_copied_bytes_total")
+        self._m_fallbacks = self.metrics.counter("arena_alloc_fallbacks_total")
+        self.metrics.gauge("blas_threads").set(_blas.get_threads() or 0)
 
     # -- pool ----------------------------------------------------------------
 
     def _make_pool(self, factory) -> Any:
         if self._arena is not None:
-            return _arena_pool(self._arena)
+            pool = _arena_pool(self._arena)
+            pool.allocator = self._arena_alloc
+            return pool
         pool = factory()
         if hasattr(pool, "backend"):
             pool.backend = "process"
         return pool
+
+    def _arena_alloc(self, numel: int, dtype) -> Any:
+        buf = self._arena.alloc(numel, dtype)
+        if buf is None:
+            self._m_fallbacks.add(1)
+        return buf
 
     def _acquire_wire_buffer(self, numel: int, dtype) -> Any:
         # called from _pump_locked with the fabric lock held — must not
@@ -419,6 +437,10 @@ class ShmFabric(Fabric):
                     msg.payload, msg.tag, msg.nbytes, seq,
                     integrity=self.integrity, arena=self._arena,
                 )
+                # chunks past header, meta and pickle blob are payload
+                # bodies travelling by copy.
+                for body in chunks[3:]:
+                    self._m_copied.add(body.nbytes)
                 self._stream_out_locked(msg.dst, chunks)
             self._cond.notify_all()
 
@@ -649,7 +671,7 @@ def _child_main(
 # -- the transport ------------------------------------------------------------
 
 
-#: counters every fabric creates eagerly (quiet runs must export zeros).
+#: counters every shm fabric creates eagerly (quiet runs must export zeros).
 _EAGER_COUNTERS = (
     "fabric_retransmits",
     "fabric_corrupt_frames",
@@ -657,7 +679,11 @@ _EAGER_COUNTERS = (
     "detector_suspicions_cleared",
     "detector_confirms",
     "ring_rejoins",
+    "shm_copied_bytes_total",
+    "arena_alloc_fallbacks_total",
 )
+#: gauges every fabric creates eagerly.
+_EAGER_GAUGES = ("blas_threads",)
 
 
 def _eager_registry() -> MetricsRegistry:
@@ -671,6 +697,8 @@ def _eager_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
     for name in _EAGER_COUNTERS:
         reg.counter(name)
+    for name in _EAGER_GAUGES:
+        reg.gauge(name)
     return reg
 
 
@@ -742,6 +770,8 @@ class ProcessTransport(Transport):
         #: after a clean one), and where it was written (if anywhere).
         self.last_postmortem: Optional[Dict] = None
         self.last_postmortem_path: Optional[str] = None
+        #: BLAS fingerprint of the most recent launch (repro.runtime.blas).
+        self.blas: Optional[Dict] = None
 
     def launch(
         self,
@@ -771,9 +801,25 @@ class ProcessTransport(Transport):
                 )
             tt = ThreadTransport(fab)
             out = tt.launch(world_size, fn, timeout, elastic, detector)
+            self.blas = tt.blas
             if fab is not None:
                 self.metrics = fab.metrics
             return out
+        # budget the ranks' BLAS threads in the parent, before forking:
+        # each child inherits the count and never starts a thread pool of
+        # its own (setting it inside the child rebuilds the pool there
+        # and slows rank start-up).  The caller's count comes back after.
+        with _blas.thread_budget(world_size) as budget:
+            self.blas = _blas.fingerprint(world_size, budget)
+            return self._launch_forked(world_size, fn, timeout, elastic)
+
+    def _launch_forked(
+        self,
+        world_size: int,
+        fn: Callable[[Any], Any],
+        timeout: float,
+        elastic: bool,
+    ) -> Tuple[List[Any], List[Optional[WorkerError]]]:
         ctx = get_context("fork")
         control_bytes = (ControlBlock.size(world_size) + 63) & ~63
         total = (
@@ -802,6 +848,7 @@ class ProcessTransport(Transport):
             parent_epoch = perf_counter()
             control.publish_epoch(parent_epoch)
             if self.tracer is not None:
+                self.tracer.metadata["blas"] = self.blas
                 # merged child events land in the parent's clock domain,
                 # so the tracer's own epoch (set at construction) stays —
                 # one tracer can span several launches (e.g. a sweep).
@@ -1008,7 +1055,7 @@ class ProcessTransport(Transport):
         bundle = _flight.build_postmortem(
             self.name, world, reason, flights,
             failed=control.failed(), aborted=control.aborted(),
-            clock=self.clock,
+            clock=self.clock, blas=self.blas,
         )
         self.last_postmortem = bundle
         directory = self.postmortem_to or _flight.postmortem_dir()

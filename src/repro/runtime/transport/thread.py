@@ -18,6 +18,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...obs import flight as _flight
+from .. import blas as _blas
 from .base import Deadline, Transport, WorkerError, join_group
 
 __all__ = ["ThreadTransport"]
@@ -41,6 +42,8 @@ class ThreadTransport(Transport):
         #: after a clean one), and where it was written (if anywhere).
         self.last_postmortem: Optional[Dict] = None
         self.last_postmortem_path: Optional[str] = None
+        #: BLAS fingerprint of the most recent launch (repro.runtime.blas).
+        self.blas: Optional[Dict] = None
 
     def launch(
         self,
@@ -86,13 +89,20 @@ class ThreadTransport(Transport):
             threading.Thread(target=target, args=(r,), name=f"worker-{r}", daemon=True)
             for r in range(world_size)
         ]
-        for t in threads:
-            t.start()
-        join_group(
-            threads,
-            Deadline(timeout),
-            on_timeout=lambda: fab.abort("join timeout"),
-        )
+        # the ranks share this process's BLAS: hold the per-rank budget
+        # while they run and give the caller its own count back.
+        with _blas.thread_budget(world_size) as budget:
+            self.blas = _blas.fingerprint(world_size, budget)
+            fab.metrics.gauge("blas_threads").set(budget or 0)
+            if fab.tracer.enabled:
+                fab.tracer.metadata["blas"] = self.blas
+            for t in threads:
+                t.start()
+            join_group(
+                threads,
+                Deadline(timeout),
+                on_timeout=lambda: fab.abort("join timeout"),
+            )
         self.last_postmortem = None
         self.last_postmortem_path = None
         first = next((e for e in errors if e is not None), None)
@@ -113,6 +123,7 @@ class ThreadTransport(Transport):
                 fab.flight.snapshot(),
                 failed=fab.failed_ranks(),
                 aborted=aborted,
+                blas=self.blas,
             )
             self.last_postmortem = bundle
             directory = self.postmortem_to or _flight.postmortem_dir()

@@ -43,7 +43,10 @@ def layer_fwd_flops(
     ffn = 2 * tokens * h * f * 3
     attn = 2 * 2 * g * cfg.n_heads * cfg.seq_len**2 * cfg.head_dim
     if causal:
-        attn /= 2  # only the lower triangle is computed (flash) / useful
+        # the useful work is the lower triangle.  Flash computes that plus
+        # the masked half of each (block, block) diagonal tile; the
+        # materialised path computes the full square.
+        attn /= 2
     return {
         "attention_projections": float(qkvo),
         "ffn": float(ffn),

@@ -21,11 +21,14 @@ memory doubles, which is why ZB1/ZB2 go OOM in Table 2.  Both variants
 are exercised by the equivalence tests; strategies pick one via
 ``ModelConfig.flash_attention``.
 
-Shapes: ``q, k, v: (B, n_heads, S, head_dim)``.
+Shapes: ``q, k, v: (B, n_heads, S, head_dim)``.  Every function returns
+its input's dtype: the ``1/sqrt(head_dim)`` scale is a Python float,
+because a NumPy float64 scalar would promote float32 inputs (NEP 50).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -50,7 +53,7 @@ def attention_fwd(
     """Causal attention materialising the probability matrix."""
     head_dim = q.shape[-1]
     seq = q.shape[-2]
-    scale = 1.0 / np.sqrt(head_dim)
+    scale = 1.0 / math.sqrt(head_dim)
     scores = (q @ np.swapaxes(k, -1, -2)) * scale
     mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
     scores = np.where(mask, -np.inf, scores)
@@ -94,7 +97,7 @@ def attention_block_fwd(
     t_q, t_k = q.shape[-2], k.shape[-2]
     if not (0 <= row_offset and row_offset + t_q <= t_k):
         raise ValueError("query block does not fit inside the key range")
-    scale = 1.0 / np.sqrt(head_dim)
+    scale = 1.0 / math.sqrt(head_dim)
     scores = (q @ np.swapaxes(k, -1, -2)) * scale
     rows = row_offset + np.arange(t_q)[:, None]
     cols = np.arange(t_k)[None, :]
@@ -130,6 +133,12 @@ def attention_block_bwd(
 # streaming (Flash-style) implementation
 
 
+def _diag_mask(n: int) -> np.ndarray:
+    """Causal mask of an ``(n, n)`` diagonal tile: ``[r, c]`` is masked
+    when ``c > r``."""
+    return np.triu(np.ones((n, n), dtype=bool), k=1)
+
+
 def flash_attention_fwd(
     q: np.ndarray,
     k: np.ndarray,
@@ -142,39 +151,51 @@ def flash_attention_fwd(
     than one ``(S, block)`` score panel at a time.  The cache stores only
     ``q, k, v, out`` and the per-row log-sum-exp — the ``O(S)`` footprint
     that Flash Attention is prized for.
+
+    Causal tile skipping (as in FlashAttention-2): key block ``[j0, j1)``
+    is scored only against query rows ``j0..S-1``, since every earlier
+    row masks the whole block and would contribute exactly zero.  The
+    causal mask is applied only on the diagonal tile (rows and columns
+    ``j0..j1-1``); every row below it sees the whole block.  Every
+    scored row sees key ``j0``, so its running max is finite and no
+    ``-inf`` guards are needed.
     """
     head_dim = q.shape[-1]
     seq = q.shape[-2]
-    scale = 1.0 / np.sqrt(head_dim)
+    scale = 1.0 / math.sqrt(head_dim)
     lead = q.shape[:-2]
 
     out = np.zeros_like(q)
     m = np.full(lead + (seq,), -np.inf, dtype=q.dtype)
     l = np.zeros(lead + (seq,), dtype=q.dtype)
-    rows = np.arange(seq)
+    mask = _diag_mask(min(block, seq))
 
     for j0 in range(0, seq, block):
         j1 = min(j0 + block, seq)
+        n = j1 - j0
         kb = k[..., j0:j1, :]
         vb = v[..., j0:j1, :]
-        scores = (q @ np.swapaxes(kb, -1, -2)) * scale
-        cols = np.arange(j0, j1)
-        masked = cols[None, :] > rows[:, None]
-        scores = np.where(masked, -np.inf, scores)
+        # score panel of rows j0..S-1 against this key block
+        p = q[..., j0:, :] @ np.swapaxes(kb, -1, -2)
+        p *= scale
+        np.copyto(p[..., :n, :], -np.inf, where=mask[:n, :n])
 
-        m_new = np.maximum(m, scores.max(axis=-1))
-        # fully masked rows (above the diagonal of the first block) keep
-        # m == -inf; exp(-inf - -inf) would be NaN, so guard those rows.
-        safe_m = np.where(np.isinf(m_new), 0.0, m_new)
-        alpha = np.where(np.isinf(m), 0.0, np.exp(m - safe_m))
-        p = np.exp(scores - safe_m[..., None])
-        p = np.where(masked, 0.0, p)
-        l = l * alpha + p.sum(axis=-1)
-        out = out * alpha[..., None] + p @ vb
-        m = m_new
+        m_row = m[..., j0:]
+        m_new = np.maximum(m_row, p.max(axis=-1))
+        # m_row is -inf only on the first block, where l and out are 0.
+        alpha = np.exp(m_row - m_new)
+        p -= m_new[..., None]
+        np.exp(p, out=p)
+        l_row = l[..., j0:]
+        l_row *= alpha
+        l_row += p.sum(axis=-1)
+        out_row = out[..., j0:, :]
+        out_row *= alpha[..., None]
+        out_row += p @ vb
+        m_row[...] = m_new
 
     # every causal row attends to at least itself, so l > 0.
-    out = out / l[..., None]
+    out /= l[..., None]
     logsumexp = m + np.log(l)
     return out, (q, k, v, out, logsumexp, scale, block)
 
@@ -186,31 +207,39 @@ def flash_attention_bwd(
 
     Uses the FlashAttention-2 identity: with ``delta = rowsum(dout*out)``,
     ``dscores = p * (dout @ v^T - delta)`` where ``p`` is rebuilt per block
-    from the stored log-sum-exp.
+    from the stored log-sum-exp.  Skips the same fully masked tiles as
+    the forward: key block ``[j0, j1)`` touches only rows ``j0..S-1``.
     """
     q, k, v, out, logsumexp, scale, block = cache
     seq = q.shape[-2]
-    rows = np.arange(seq)
     delta = (dout * out).sum(axis=-1)
+    mask = _diag_mask(min(block, seq))
 
     dq = np.zeros_like(q)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
+    dk = np.empty_like(k)
+    dv = np.empty_like(v)
 
     for j0 in range(0, seq, block):
         j1 = min(j0 + block, seq)
+        n = j1 - j0
         kb = k[..., j0:j1, :]
         vb = v[..., j0:j1, :]
-        scores = (q @ np.swapaxes(kb, -1, -2)) * scale
-        cols = np.arange(j0, j1)
-        masked = cols[None, :] > rows[:, None]
-        p = np.exp(scores - logsumexp[..., None])
-        p = np.where(masked, 0.0, p)
+        q_row = q[..., j0:, :]
+        dout_row = dout[..., j0:, :]
+        p = q_row @ np.swapaxes(kb, -1, -2)
+        p *= scale
+        p -= logsumexp[..., j0:, None]
+        np.copyto(p[..., :n, :], -np.inf, where=mask[:n, :n])
+        np.exp(p, out=p)
 
-        dv[..., j0:j1, :] += np.swapaxes(p, -1, -2) @ dout
-        dp = dout @ np.swapaxes(vb, -1, -2)
-        dscores = p * (dp - delta[..., None])
-        dq += (dscores @ kb) * scale
-        dk[..., j0:j1, :] += (np.swapaxes(dscores, -1, -2) @ q) * scale
+        dv[..., j0:j1, :] = np.swapaxes(p, -1, -2) @ dout_row
+        dscores = dout_row @ np.swapaxes(vb, -1, -2)
+        dscores -= delta[..., j0:, None]
+        dscores *= p
+        dq[..., j0:, :] += dscores @ kb
+        dk[..., j0:j1, :] = np.swapaxes(dscores, -1, -2) @ q_row
 
+    # scale once here rather than on every (S, block) score panel
+    dq *= scale
+    dk *= scale
     return dq, dk, dv

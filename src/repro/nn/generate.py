@@ -15,6 +15,7 @@ trained model is to the data's information-theoretic floor.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -76,7 +77,7 @@ def _layer_step(
     k = rope_apply(k, cos, sin)
     k_all, v_all = cache.append(layer, k, v)
 
-    scale = 1.0 / np.sqrt(cfg.head_dim)
+    scale = 1.0 / math.sqrt(cfg.head_dim)
     scores = (q @ np.swapaxes(k_all, -1, -2)) * scale
     t_new, t_all = q.shape[-2], k_all.shape[-2]
     if t_new > 1:

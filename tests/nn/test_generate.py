@@ -123,3 +123,28 @@ class TestEvaluation:
         assert perplexity(CFG, CHUNKS, tokens, targets) == pytest.approx(
             np.exp(loss), rel=1e-9
         )
+
+
+class TestDtype:
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_fp32_model_decodes_in_fp32(self, monkeypatch, temperature):
+        """An fp32 model keeps float32 scores, logits and KV-cache
+        entries through every decode step (no float64 promotion)."""
+        import repro.nn.generate as gen
+
+        cfg = CFG.with_(dtype=np.float32)
+        chunks = init_model(cfg, seed=4)
+        seen = []
+        real_step = gen._decode_step
+
+        def spy(cfg_, chunks_, tokens, cache, cos_all, sin_all):
+            logits = real_step(cfg_, chunks_, tokens, cache, cos_all, sin_all)
+            seen.append({logits.dtype, *(t.dtype for t in cache.k + cache.v)})
+            return logits
+
+        monkeypatch.setattr(gen, "_decode_step", spy)
+        prompt = RNG.integers(0, cfg.vocab, size=(2, 3))
+        out = generate(cfg, chunks, prompt, n_new=4, temperature=temperature)
+        assert out.shape == (2, 7)
+        assert len(seen) == 4
+        assert all(s == {np.dtype(np.float32)} for s in seen), seen
